@@ -12,8 +12,12 @@
 //! ## The model
 //!
 //! An N-rank world runs one real `WireComm<ModelFabric>` engine per rank,
-//! each driving a scripted workload (point-to-point sends/receives and/or
-//! one collective via `wire::nbcrun`). All rank-local computation is
+//! each driving a scripted workload: point-to-point sends/receives and/or
+//! collectives via [`mpisim::nbc::NbcRun`], the executor every live
+//! strategy runs. A rank with several collectives runs them concurrently
+//! on consecutive tags of the offload thread's sequence, interleaved with
+//! its point-to-point traffic — the offload service loop's shape
+//! ([`WorldSpec::offload_shape`]). All rank-local computation is
 //! deterministic, so the world is advanced to a fixpoint ("stabilize")
 //! between nondeterministic choices. What is explored, per step:
 //!
@@ -62,8 +66,9 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use mpisim::nbc::{CollKind, NbcRun};
+use mpisim::types::{Dtype, ReduceOp};
 use rtmpi::{OpOutcome, Transport, TransportError};
-use wire::nbcrun::{Coll, Dtype, NbcRun, ReduceOp};
 use wire::proto::{FrameKind, Header};
 use wire::{FrameFabric, LinkPoll, WireComm, WireConfig, WireReq};
 
@@ -250,16 +255,28 @@ pub enum CollOp {
     Alltoall {
         block: usize,
     },
+    /// Gather `block` pattern bytes per rank to `root`.
+    Gather {
+        root: usize,
+        block: usize,
+    },
+    /// Scatter `block` bytes per rank from `root`.
+    Scatter {
+        root: usize,
+        block: usize,
+    },
 }
 
 /// One rank's scripted workload. Receives are posted first, then the
-/// collective starts, then sends are posted — the order that arms the
-/// wildcard/reserved-tag interactions the checker exists to probe.
+/// collectives start, then sends are posted — the order that arms the
+/// wildcard/reserved-tag interactions the checker exists to probe. The
+/// collectives run concurrently, the `k`-th (from 1) on tag
+/// `TAG_COLL_BASE + k`: the tag sequence of the offload thread.
 #[derive(Clone, Debug, Default)]
 pub struct RankScript {
     pub sends: Vec<SendOp>,
     pub recvs: Vec<RecvOp>,
-    pub coll: Option<CollOp>,
+    pub colls: Vec<CollOp>,
 }
 
 /// A world to explore: `n` ranks, engine crossover, one script per rank.
@@ -301,7 +318,7 @@ impl WorldSpec {
                     expect_from: Some((r + n - 1) % n),
                     expect_len: len,
                 }],
-                coll: None,
+                colls: Vec::new(),
             })
             .collect();
         WorldSpec {
@@ -318,11 +335,27 @@ impl WorldSpec {
             eager_max,
             scripts: (0..n)
                 .map(|_| RankScript {
-                    coll: Some(coll),
+                    colls: vec![coll],
                     ..RankScript::default()
                 })
                 .collect(),
         }
+    }
+
+    /// What the offload thread runs on one rank: two concurrent
+    /// collectives interleaved with point-to-point traffic. Every rank
+    /// sends `len` bytes to its right neighbour on an application tag and
+    /// runs `colls`; rank 0 takes its message through a wildcard
+    /// `irecv(None, None)` posted before the collectives start, so every
+    /// round frame passes a wildcard it must never match.
+    pub fn offload_shape(n: usize, eager_max: usize, len: usize, colls: [CollOp; 2]) -> Self {
+        let mut spec = WorldSpec::ring(n, eager_max, len);
+        for script in &mut spec.scripts {
+            script.colls = colls.to_vec();
+        }
+        spec.scripts[0].recvs[0].src = None;
+        spec.scripts[0].recvs[0].tag = None;
+        spec
     }
 
     fn expected_coll(&self, rank: usize, coll: CollOp) -> Option<Vec<u8>> {
@@ -346,6 +379,12 @@ impl WorldSpec {
                     })
                     .collect(),
             ),
+            CollOp::Gather { root, block } => Some(if rank == root {
+                (0..n).flat_map(|s| pattern(s, 0, block)).collect()
+            } else {
+                pattern(rank, 0, block)
+            }),
+            CollOp::Scatter { root, block } => Some(pattern(root, rank as u32, block)),
         }
     }
 }
@@ -359,11 +398,11 @@ fn sum_lanes(n: usize, lanes: usize) -> Vec<u8> {
         .collect()
 }
 
-fn coll_for(spec: &WorldSpec, rank: usize, coll: CollOp) -> Coll {
+fn coll_for(spec: &WorldSpec, rank: usize, coll: CollOp) -> CollKind {
     let n = spec.n;
     match coll {
-        CollOp::Barrier => Coll::Barrier,
-        CollOp::Bcast { root, len } => Coll::Bcast {
+        CollOp::Barrier => CollKind::Barrier,
+        CollOp::Bcast { root, len } => CollKind::Bcast {
             root,
             payload: if rank == root {
                 pattern(root, 0, len)
@@ -371,24 +410,39 @@ fn coll_for(spec: &WorldSpec, rank: usize, coll: CollOp) -> Coll {
                 Vec::new()
             },
         },
-        CollOp::Reduce { root, lanes } => Coll::Reduce {
+        CollOp::Reduce { root, lanes } => CollKind::Reduce {
             root,
             dtype: Dtype::F64,
             op: ReduceOp::Sum,
             data: lanes_for(rank, lanes),
         },
-        CollOp::Allreduce { lanes } => Coll::Allreduce {
+        CollOp::Allreduce { lanes } => CollKind::Allreduce {
             dtype: Dtype::F64,
             op: ReduceOp::Sum,
             data: lanes_for(rank, lanes),
         },
-        CollOp::Allgather { block } => Coll::Allgather {
+        CollOp::Allgather { block } => CollKind::Allgather {
             mine: pattern(rank, 0, block),
         },
-        CollOp::Alltoall { block } => Coll::Alltoall {
+        CollOp::Alltoall { block } => CollKind::Alltoall {
             input: (0..n)
                 .flat_map(|dst| pattern(rank, dst as u32, block))
                 .collect(),
+            block,
+        },
+        CollOp::Gather { root, block } => CollKind::Gather {
+            root,
+            mine: pattern(rank, 0, block),
+        },
+        CollOp::Scatter { root, block } => CollKind::Scatter {
+            root,
+            input: if rank == root {
+                (0..n)
+                    .flat_map(|dst| pattern(root, dst as u32, block))
+                    .collect()
+            } else {
+                Vec::new()
+            },
             block,
         },
     }
@@ -404,14 +458,16 @@ enum RankPhase {
     Failed(TransportError),
 }
 
-/// An in-flight collective plus its result buffer once finished.
+/// An in-flight collective plus the result it must produce (`None`:
+/// unspecified on this rank).
 type CollRun = (NbcRun<WireComm<ModelFabric>>, Option<Vec<u8>>);
 
 struct RankState {
     comm: WireComm<ModelFabric>,
     /// Posted point-to-point ops with their expectations (`None` = send).
     pending: Vec<(WireReq, Option<RecvOp>)>,
-    coll: Option<CollRun>,
+    /// In-flight collectives, polled in start order.
+    colls: Vec<CollRun>,
     phase: RankPhase,
     /// First invariant violation observed on this rank.
     violation: Option<String>,
@@ -445,15 +501,20 @@ fn build_world(spec: &WorldSpec) -> World {
         };
         let mut comm = WireComm::from_fabric(r, spec.n, fabric, cfg.clone());
         let mut pending = Vec::new();
-        // Receives first, then the collective, then sends (see RankScript).
+        // Receives first, then the collectives, then sends (see
+        // RankScript).
         for recv in &script.recvs {
             let req = comm.irecv(recv.src, recv.tag);
             pending.push((req, Some(recv.clone())));
         }
-        let coll = script.coll.map(|c| {
-            let run = NbcRun::start(&mut comm, rtmpi::TAG_COLL_BASE, coll_for(spec, r, c));
-            (run, spec.expected_coll(r, c))
-        });
+        let colls = (1..)
+            .zip(&script.colls)
+            .map(|(seq, &c)| {
+                let tag = rtmpi::TAG_COLL_BASE + seq;
+                let run = NbcRun::start(&mut comm, tag, coll_for(spec, r, c));
+                (run, spec.expected_coll(r, c))
+            })
+            .collect();
         for send in &script.sends {
             let req = comm.isend(
                 send.dst,
@@ -465,7 +526,7 @@ fn build_world(spec: &WorldSpec) -> World {
         ranks.push(RankState {
             comm,
             pending,
-            coll,
+            colls,
             phase: RankPhase::Running,
             violation: None,
         });
@@ -547,12 +608,14 @@ impl World {
                 None => i += 1,
             }
         }
-        if let Some((run, expect)) = rank.coll.as_mut() {
-            match run.poll(&mut rank.comm) {
+        let mut i = 0;
+        while i < rank.colls.len() {
+            match rank.colls[i].0.poll(&mut rank.comm) {
                 Ok(true) => {
                     any = true;
-                    if let Some(exp) = expect.as_ref() {
-                        if run.result() != &exp[..] {
+                    let (run, expect) = rank.colls.remove(i);
+                    if let Some(exp) = expect {
+                        if run.result() != exp {
                             rank.violation.get_or_insert(format!(
                                 "rank {r}: collective result mismatch \
                                  (got {} bytes, want {} bytes)",
@@ -561,16 +624,15 @@ impl World {
                             ));
                         }
                     }
-                    rank.coll = None;
                 }
-                Ok(false) => {}
+                Ok(false) => i += 1,
                 Err(e) => {
                     rank.phase = RankPhase::Failed(e);
                     return true;
                 }
             }
         }
-        if rank.pending.is_empty() && rank.coll.is_none() {
+        if rank.pending.is_empty() && rank.colls.is_empty() {
             rank.phase = RankPhase::Done;
             any = true;
         }
@@ -648,9 +710,11 @@ impl World {
         }
     }
 
-    /// End-of-schedule invariant sweep; `Err` carries the reason.
-    fn verdict(&self) -> Result<(), String> {
+    /// End-of-schedule invariant sweep; `Err` carries the reason, `Ok`
+    /// whether a surviving rank surfaced `PeerLost`.
+    fn verdict(&self) -> Result<bool, String> {
         let mut protocol_errors = 0u64;
+        let mut peer_lost = false;
         for (r, rank) in self.ranks.iter().enumerate() {
             protocol_errors += rank.comm.obs().snapshot().counter("wire.protocol_errors");
             if self.killed[r] {
@@ -684,6 +748,7 @@ impl World {
                     if !self.killed[*peer] && !self.exited[*peer] {
                         return Err(format!("rank {r}: spurious PeerLost for live rank {peer}"));
                     }
+                    peer_lost = true;
                 }
                 RankPhase::Failed(e) => {
                     return Err(format!("rank {r}: unexpected transport error {e:?}"));
@@ -701,7 +766,7 @@ impl World {
                 self.dups_delivered
             ));
         }
-        Ok(())
+        Ok(peer_lost)
     }
 }
 
@@ -833,6 +898,8 @@ pub struct Stats {
     pub pruned: u64,
     /// DFS only: the bounded space was fully enumerated.
     pub complete: bool,
+    /// Schedules in which a surviving rank surfaced `PeerLost`.
+    pub peer_lost: u64,
 }
 
 /// A failing schedule, replayable via [`Strategy::Replay`] or
@@ -865,12 +932,13 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Run one schedule: `pick` chooses among the enabled actions at each
-/// step. Returns the schedule string and the verdict.
+/// step. Returns the schedule string and the verdict: the step count and
+/// whether `PeerLost` surfaced.
 fn run_schedule(
     spec: &WorldSpec,
     cfg: &Config,
     mut pick: impl FnMut(usize) -> usize,
-) -> (String, Result<u64, String>) {
+) -> (String, Result<(u64, bool), String>) {
     let mut world = build_world(spec);
     let mut budget = Budget {
         dups_left: cfg.max_dups,
@@ -894,7 +962,7 @@ fn run_schedule(
         world.apply(actions[idx], &mut budget);
     }));
     let verdict = match run {
-        Ok(()) => world.verdict().map(|()| steps),
+        Ok(()) => world.verdict().map(|lost| (steps, lost)),
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<&str>()
@@ -927,8 +995,9 @@ pub fn explore(spec: &WorldSpec, cfg: &Config) -> Result<Stats, Failure> {
             stats.schedules = 1;
             stats.distinct = 1;
             match verdict {
-                Ok(steps) => {
+                Ok((steps, lost)) => {
                     stats.transitions = steps;
+                    stats.peer_lost = u64::from(lost);
                     Ok(stats)
                 }
                 Err(reason) => Err(Failure { schedule, reason }),
@@ -944,7 +1013,10 @@ pub fn explore(spec: &WorldSpec, cfg: &Config) -> Result<Stats, Failure> {
                     run_schedule(spec, cfg, |n| (splitmix64(&mut state) % n as u64) as usize);
                 stats.schedules += 1;
                 match verdict {
-                    Ok(steps) => stats.transitions += steps,
+                    Ok((steps, lost)) => {
+                        stats.transitions += steps;
+                        stats.peer_lost += u64::from(lost);
+                    }
                     Err(reason) => return Err(Failure { schedule, reason }),
                 }
                 seen.insert(schedule);
@@ -1006,8 +1078,9 @@ pub fn explore(spec: &WorldSpec, cfg: &Config) -> Result<Stats, Failure> {
                         Err(format!("panic: {msg}"))
                     }
                 };
-                if let Err(reason) = verdict {
-                    return Err(Failure { schedule, reason });
+                match verdict {
+                    Ok(lost) => stats.peer_lost += u64::from(lost),
+                    Err(reason) => return Err(Failure { schedule, reason }),
                 }
                 stats.distinct = stats.schedules;
                 // Backtrack: find the deepest step with an untried choice.
@@ -1078,13 +1151,6 @@ fn pre_index(actions: &[Action], a: &Action) -> usize {
 }
 
 // -------------------------------------------------------------- seeding
-
-/// Serialize access to the process-global fault flags (and the panic
-/// hook) across `cargo test` threads.
-pub fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Count how many schedules a quiet panic-hook window has suppressed —
 /// exploration *expects* panics when a seeded fault is armed, and the
@@ -1212,6 +1278,14 @@ mod tests {
                 CollOp::Allreduce { lanes: 24 },
                 CollOp::Allgather { block: 300 },
                 CollOp::Alltoall { block: 300 },
+                CollOp::Gather {
+                    root: n - 1,
+                    block: 300,
+                },
+                CollOp::Scatter {
+                    root: 0,
+                    block: 300,
+                },
             ];
             for coll in colls {
                 let spec = WorldSpec::collective(n, 64, coll);
@@ -1252,6 +1326,65 @@ mod tests {
             ..random(250)
         };
         explore(&spec, &cfg).unwrap_or_else(|f| panic!("{f}"));
+    }
+
+    /// The offload thread's shape: rendezvous p2p through a wildcard
+    /// receive plus two concurrent collectives on consecutive tags.
+    fn offload_world(n: usize) -> WorldSpec {
+        WorldSpec::offload_shape(
+            n,
+            64,
+            300,
+            [CollOp::Barrier, CollOp::Allreduce { lanes: 24 }],
+        )
+    }
+
+    #[test]
+    fn offload_shape_random_walk_is_clean() {
+        for n in 2..=3 {
+            let stats = explore(&offload_world(n), &random(150))
+                .unwrap_or_else(|f| panic!("{n}-rank offload shape: {f}"));
+            assert!(stats.distinct > 1, "{n} ranks: one interleaving only");
+        }
+    }
+
+    #[test]
+    fn dfs_exhausts_two_rank_offload_shape() {
+        // Eager-sized collectives keep the space exhaustible; the p2p
+        // message still takes the full rendezvous handshake.
+        let spec = WorldSpec::offload_shape(
+            2,
+            64,
+            300,
+            [CollOp::Barrier, CollOp::Allreduce { lanes: 4 }],
+        );
+        let cfg = Config {
+            strategy: Strategy::Dfs {
+                max_schedules: 200_000,
+            },
+            ..Config::default()
+        };
+        let stats = explore(&spec, &cfg).unwrap_or_else(|f| panic!("{f}"));
+        assert!(
+            stats.complete,
+            "2-rank offload shape not exhausted in {} schedules",
+            stats.schedules
+        );
+    }
+
+    #[test]
+    fn killed_peer_in_offload_shape_surfaces_peer_lost() {
+        let cfg = Config {
+            max_kills: 1,
+            kill_candidates: vec![1],
+            ..random(250)
+        };
+        let stats = explore(&offload_world(3), &cfg).unwrap_or_else(|f| panic!("{f}"));
+        assert!(
+            stats.peer_lost > 0,
+            "no schedule surfaced PeerLost in {} schedules",
+            stats.schedules
+        );
     }
 
     #[test]
@@ -1315,7 +1448,6 @@ mod tests {
 
     #[test]
     fn explorer_finds_seeded_stray_cts_panic() {
-        let _guard = fault_lock();
         let prev = wire::faults::set_stray_cts_panic(true);
         let _disarm = Disarm(wire::faults::set_stray_cts_panic, prev);
         // A duplicated CTS is exactly a stray CTS at the sender; with the
@@ -1345,7 +1477,6 @@ mod tests {
 
     #[test]
     fn seeded_stray_cts_fixed_tree_is_clean() {
-        let _guard = fault_lock();
         // Flag off (the fixed tree): the identical exploration passes.
         let spec = WorldSpec::ring(2, 64, 300);
         let cfg = Config {
@@ -1369,7 +1500,7 @@ mod tests {
                         expect_from: Some(1),
                         expect_len: 5,
                     }],
-                    coll: Some(CollOp::Barrier),
+                    colls: vec![CollOp::Barrier],
                     ..RankScript::default()
                 },
                 RankScript {
@@ -1378,7 +1509,7 @@ mod tests {
                         tag: 5,
                         len: 5,
                     }],
-                    coll: Some(CollOp::Barrier),
+                    colls: vec![CollOp::Barrier],
                     ..RankScript::default()
                 },
             ],
@@ -1387,7 +1518,6 @@ mod tests {
 
     #[test]
     fn explorer_finds_seeded_wildcard_reserved_tag_leak() {
-        let _guard = fault_lock();
         let prev = rtmpi::faults::set_wildcard_reserved_leak(true);
         let _disarm = Disarm(rtmpi::faults::set_wildcard_reserved_leak, prev);
         let spec = wildcard_vs_barrier_world();
@@ -1407,7 +1537,6 @@ mod tests {
 
     #[test]
     fn seeded_wildcard_leak_fixed_tree_is_clean() {
-        let _guard = fault_lock();
         let spec = wildcard_vs_barrier_world();
         explore(&spec, &random(400)).unwrap_or_else(|f| panic!("{f}"));
     }

@@ -34,6 +34,11 @@
 //!   demands a justification per use). The rest of the transport stays
 //!   safe Rust, so reviewing the shared-memory trust boundary means
 //!   reading exactly one file.
+//! * `one-nbc-executor` — `RecvAction::` and `DataSrc::` (the round-step
+//!   vocabulary of `mpisim::nbc`) appear only under `crates/mpisim/src`,
+//!   test code included. Executing a round schedule means matching on
+//!   them, so this keeps `mpisim::nbc::NbcRun` — the executor
+//!   `check::proto` explores — the only live one, next to the simulator's.
 //!
 //! ## Allowlist
 //!
@@ -86,6 +91,7 @@ pub const RULES: &[&str] = &[
     "reserved-tag-literal",
     "peer-input-hardening",
     "unsafe-confinement",
+    "one-nbc-executor",
 ];
 
 /// How many lines above a flagged use a justifying comment may sit.
@@ -158,6 +164,8 @@ struct Scope {
     peer_input: bool,
     /// `crates/wire` outside `src/shm.rs` — must stay safe Rust.
     wire_safe_zone: bool,
+    /// `crates/mpisim/src` — owns the round schedules and their executors.
+    owns_nbc_executor: bool,
 }
 
 fn scope_of(path: &str) -> Scope {
@@ -173,6 +181,7 @@ fn scope_of(path: &str) -> Scope {
         owns_reserved_span: path.starts_with("crates/rtmpi"),
         peer_input: peer_input_files.contains(&path),
         wire_safe_zone: path.starts_with("crates/wire/src") && path != "crates/wire/src/shm.rs",
+        owns_nbc_executor: path.starts_with("crates/mpisim/src"),
     }
 }
 
@@ -279,6 +288,20 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
                         format!(
                             "`{needle}` in crates/wire outside src/shm.rs; the mmap \
                              surface is confined to that one file"
+                        ),
+                    );
+                }
+            }
+        }
+        if !scope.owns_nbc_executor {
+            for needle in ["RecvAction::", "DataSrc::"] {
+                if line.contains(needle) {
+                    push(
+                        "one-nbc-executor",
+                        format!(
+                            "`{needle}` outside crates/mpisim/src: round schedules run \
+                             through mpisim::nbc::NbcRun, the one model-checked live \
+                             executor; do not grow another"
                         ),
                     );
                 }
@@ -614,6 +637,25 @@ mod tests {
         // Other crates are out of scope, and wire test code is exempt.
         assert!(scan_source("crates/core/src/q.rs", "mmap(p, n);\n").is_empty());
         assert!(scan_source("crates/wire/tests/launcher.rs", mmap).is_empty());
+    }
+
+    #[test]
+    fn round_vocabulary_is_confined_to_mpisim() {
+        let src = "match action { RecvAction::Discard => {} }\nlet d = DataSrc::Acc;\n";
+        assert_eq!(
+            rules_fired("crates/core/src/live.rs", src),
+            ["one-nbc-executor"]
+        );
+        assert_eq!(scan_source("crates/core/src/live.rs", src).len(), 2);
+        // Test code elsewhere is no exemption: an executor is an executor.
+        assert_eq!(
+            rules_fired("tests/live_vs_sim.rs", src),
+            ["one-nbc-executor"]
+        );
+        // The owner may spell it; naming the executor is fine anywhere.
+        assert!(scan_source("crates/mpisim/src/nbc.rs", src).is_empty());
+        let user = "let run = mpisim::nbc::NbcRun::start(t, tag, kind);\n";
+        assert!(scan_source("crates/approaches/src/live.rs", user).is_empty());
     }
 
     #[test]

@@ -15,12 +15,23 @@
 //! recursive-doubling allreduce (power-of-two sizes; reduce+bcast
 //! composition otherwise), ring allgather, pairwise-exchange all-to-all,
 //! linear gather/scatter.
+//!
+//! Two executors run these schedules. The simulator's progress engine
+//! ([`NbcInstance`], in virtual time) and [`NbcRun`], the one live
+//! executor over any [`rtmpi::Transport`]. `NbcRun` drives every live
+//! collective in the tree: the offload thread interleaves several of them
+//! with point-to-point traffic, the direct (baseline/iprobe) modes poll
+//! one from inside their waits, and `check::proto` explores the same type
+//! under every frame interleaving the transport contract allows.
 
 use std::ops::Range;
 use std::rc::Rc;
+use std::sync::Arc;
+
+use rtmpi::{OpOutcome, Transport, TransportError};
 
 use crate::engine::ReqInner;
-use crate::types::{Bytes, Dtype, Rank, ReduceOp, Tag};
+use crate::types::{combine, Bytes, Dtype, Rank, ReduceOp, Tag};
 
 /// Where the payload of an internal send comes from.
 #[derive(Clone, Debug)]
@@ -432,6 +443,318 @@ pub fn scatter_rounds(p: usize, r: Rank, root: Rank, block: usize) -> Vec<Round>
     }
 }
 
+// ---------------------------------------------------------------------------
+// The live executor.
+// ---------------------------------------------------------------------------
+
+/// A collective with its local arguments — the full `Comm` collective
+/// surface, as the live executor ([`NbcRun`]) compiles it.
+#[derive(Clone, Debug)]
+pub enum CollKind {
+    Barrier,
+    /// Element-wise allreduce of `data` (raw little-endian lanes of
+    /// `dtype`). Rabenseifner reduce-scatter + allgather kicks in for large
+    /// payloads on power-of-two worlds ([`allreduce_rounds_sized`]).
+    Allreduce {
+        dtype: Dtype,
+        op: ReduceOp,
+        data: Vec<u8>,
+    },
+    /// Element-wise reduce to `root`; the result buffer is meaningful on
+    /// the root only (other ranks get their partial back).
+    Reduce {
+        root: usize,
+        dtype: Dtype,
+        op: ReduceOp,
+        data: Vec<u8>,
+    },
+    /// Personalized all-to-all of `block`-byte blocks.
+    Alltoall {
+        input: Vec<u8>,
+        block: usize,
+    },
+    /// Broadcast from `root` (payload on root only).
+    Bcast {
+        root: usize,
+        payload: Vec<u8>,
+    },
+    /// Allgather of equal contributions.
+    Allgather {
+        mine: Vec<u8>,
+    },
+    /// Gather of equal `mine` blocks to `root` (root gets `size × block`
+    /// bytes; other ranks get their own block back).
+    Gather {
+        root: usize,
+        mine: Vec<u8>,
+    },
+    /// Scatter of `block`-byte blocks from `root`'s `input` (empty on
+    /// non-roots); every rank gets its block.
+    Scatter {
+        root: usize,
+        input: Vec<u8>,
+        block: usize,
+    },
+}
+
+impl CollKind {
+    /// Validate the local arguments for rank `rank` of a `size`-rank
+    /// world, panicking on a malformed kind. Callers that hand the kind to
+    /// another thread run this first, so the panic lands on the caller
+    /// instead of killing the thread that executes the schedule.
+    pub fn check(&self, size: usize, rank: usize) {
+        match self {
+            CollKind::Reduce { root, .. }
+            | CollKind::Bcast { root, .. }
+            | CollKind::Gather { root, .. } => {
+                assert!(*root < size, "collective root {root} outside {size} ranks");
+            }
+            CollKind::Alltoall { input, block } => assert_eq!(
+                input.len(),
+                size * block,
+                "alltoall input must hold {size} blocks of {block} bytes"
+            ),
+            CollKind::Scatter { root, input, block } => {
+                assert!(*root < size, "collective root {root} outside {size} ranks");
+                if rank == *root {
+                    assert_eq!(
+                        input.len(),
+                        size * block,
+                        "scatter root input must hold {size} blocks of {block} bytes"
+                    );
+                }
+            }
+            CollKind::Barrier | CollKind::Allreduce { .. } | CollKind::Allgather { .. } => {}
+        }
+    }
+
+    /// Compile into (initial accumulator, retained input, round schedule)
+    /// for rank `r` of `p`.
+    fn plan(self, p: usize, r: usize) -> (Vec<u8>, Option<Vec<u8>>, Vec<Round>) {
+        match self {
+            CollKind::Barrier => (Vec::new(), None, barrier_rounds(p, r)),
+            CollKind::Allreduce { dtype, op, data } => {
+                let rounds = allreduce_rounds_sized(p, r, dtype, op, data.len());
+                (data, None, rounds)
+            }
+            CollKind::Reduce {
+                root,
+                dtype,
+                op,
+                data,
+            } => (data, None, reduce_rounds(p, r, root, dtype, op)),
+            CollKind::Alltoall { input, block } => {
+                let mut acc = vec![0u8; p * block];
+                acc[r * block..(r + 1) * block].copy_from_slice(&input[r * block..(r + 1) * block]);
+                (acc, Some(input), alltoall_rounds(p, r, block))
+            }
+            CollKind::Bcast { root, payload } => {
+                let acc = if r == root { payload } else { Vec::new() };
+                (acc, None, bcast_rounds(p, r, root))
+            }
+            CollKind::Allgather { mine } => {
+                let block = mine.len();
+                let mut acc = vec![0u8; p * block];
+                acc[r * block..(r + 1) * block].copy_from_slice(&mine);
+                (acc, None, allgather_rounds(p, r, block))
+            }
+            CollKind::Gather { root, mine } => {
+                let block = mine.len();
+                let acc = if r == root {
+                    let mut acc = vec![0u8; p * block];
+                    acc[r * block..(r + 1) * block].copy_from_slice(&mine);
+                    acc
+                } else {
+                    // Non-roots send their accumulator up and keep it.
+                    mine
+                };
+                (acc, None, gather_rounds(p, r, root, block))
+            }
+            CollKind::Scatter { root, input, block } => {
+                let rounds = scatter_rounds(p, r, root, block);
+                if r == root {
+                    let acc = input[r * block..(r + 1) * block].to_vec();
+                    (acc, Some(input), rounds)
+                } else {
+                    // Replaced by the root's block on arrival.
+                    (Vec::new(), None, rounds)
+                }
+            }
+        }
+    }
+}
+
+/// One posted round receive: request, fold action, landed payload.
+type InflightRecv<T> = (<T as Transport>::Req, RecvAction, Option<Arc<[u8]>>);
+
+/// One in-flight collective on one rank: the libNBC execution model over
+/// a [`Transport`]. Each round posts its sends and receives together; the
+/// next round is posted only when every receive of the current one has
+/// landed and been folded into the accumulator. Nothing here blocks or
+/// drives transport progress: [`NbcRun::poll`] inspects request state and
+/// returns, so the caller owns the progress loop — and thereby the
+/// paper's central question of *who* polls.
+pub struct NbcRun<T: Transport> {
+    rounds: Vec<Round>,
+    cur: usize,
+    inflight: Vec<InflightRecv<T>>,
+    /// Round sends not yet acknowledged by the transport. The schedule is
+    /// complete only when these drain — a still-pending reserved-tag send
+    /// must not outlive the collective that issued it.
+    sends: Vec<T::Req>,
+    acc: Vec<u8>,
+    input: Option<Vec<u8>>,
+    tag: Tag,
+}
+
+impl<T: Transport> NbcRun<T> {
+    /// Compile `coll` for this rank and post round 0. `tag` must be in
+    /// the reserved collective space: callers derive it from
+    /// [`rtmpi::TAG_COLL_BASE`] (or `TAG_DIRECT_COLL_BASE`) plus a
+    /// sequence number every rank advances in program order, so
+    /// concurrent collectives cannot cross-match. Panics if `coll` fails
+    /// [`CollKind::check`].
+    pub fn start(mpi: &mut T, tag: Tag, coll: CollKind) -> Self {
+        debug_assert!(
+            tag >= rtmpi::TAG_RESERVED_BASE,
+            "collective tag must be reserved"
+        );
+        let (p, r) = (mpi.size(), mpi.rank());
+        coll.check(p, r);
+        let (acc, input, rounds) = coll.plan(p, r);
+        let mut run = NbcRun {
+            rounds,
+            cur: 0,
+            inflight: Vec::new(),
+            sends: Vec::new(),
+            acc,
+            input,
+            tag,
+        };
+        run.post_round(mpi);
+        run
+    }
+
+    fn resolve(&self, src: &DataSrc) -> Vec<u8> {
+        match src {
+            DataSrc::Acc => self.acc.clone(),
+            DataSrc::AccChunk(r) => self.acc[r.clone()].to_vec(),
+            DataSrc::InputChunk(r) => self
+                .input
+                .as_ref()
+                .expect("schedule reads a retained input")[r.clone()]
+            .to_vec(),
+            DataSrc::Fixed(b) => match b {
+                Bytes::Real(v) => v.as_ref().clone(),
+                Bytes::Synthetic(n) => vec![0; *n],
+            },
+        }
+    }
+
+    /// Post the sends and receives of round `cur` (no-op past the end).
+    fn post_round(&mut self, mpi: &mut T) {
+        let Some(round) = self.rounds.get(self.cur) else {
+            return;
+        };
+        for send in &round.sends {
+            let req = mpi.isend(send.peer, self.tag, Arc::from(self.resolve(&send.data)));
+            if mpi.try_take(&req).is_none() {
+                self.sends.push(req);
+            }
+        }
+        for recv in &round.recvs {
+            let req = mpi.irecv(Some(recv.peer), Some(self.tag));
+            self.inflight.push((req, recv.action.clone(), None));
+        }
+    }
+
+    /// Advance as far as completed requests allow, cascading through any
+    /// rounds that finish immediately. Never blocks, never calls
+    /// `progress`. `Ok(true)` means the schedule is complete *and* every
+    /// round send has drained; the first failed round op (e.g.
+    /// `PeerLost`) surfaces as `Err`. Polling a finished run is a no-op
+    /// that returns `Ok(true)` again.
+    pub fn poll(&mut self, mpi: &mut T) -> Result<bool, TransportError> {
+        loop {
+            // Reap acknowledged sends regardless of round state.
+            let mut i = 0;
+            while i < self.sends.len() {
+                match mpi.try_take(&self.sends[i]) {
+                    Some(Ok(_)) => {
+                        self.sends.swap_remove(i);
+                    }
+                    Some(Err(e)) => return Err(e),
+                    None => i += 1,
+                }
+            }
+            if self.cur >= self.rounds.len() {
+                return Ok(self.sends.is_empty());
+            }
+            // This round's receives: stash payloads as they land.
+            let mut all = true;
+            for (req, _, data) in self.inflight.iter_mut() {
+                if data.is_some() {
+                    continue;
+                }
+                match mpi.try_take(req) {
+                    Some(Ok(OpOutcome::Received(_, d))) => *data = Some(d),
+                    Some(Ok(OpOutcome::Sent)) => unreachable!("receive completed as a send"),
+                    Some(Err(e)) => return Err(e),
+                    None => all = false,
+                }
+            }
+            if !all {
+                return Ok(false);
+            }
+            for (_, action, data) in std::mem::take(&mut self.inflight) {
+                let data = data.expect("completed round receive has its payload");
+                apply(&mut self.acc, &action, &data);
+            }
+            self.cur += 1;
+            self.post_round(mpi);
+        }
+    }
+
+    /// The accumulator (the collective's result once [`Self::poll`]
+    /// returned `Ok(true)`).
+    pub fn result(&self) -> &[u8] {
+        &self.acc
+    }
+
+    /// Take the accumulator without copying it.
+    pub fn into_result(self) -> Vec<u8> {
+        self.acc
+    }
+
+    /// Cancel everything still outstanding (cleanup after an `Err`, or an
+    /// abandoned schedule). Receives whose payload already landed have no
+    /// transport state left and are not cancelled.
+    pub fn abort(self, mpi: &mut T) {
+        for (req, _, data) in &self.inflight {
+            if data.is_none() {
+                mpi.cancel(req);
+            }
+        }
+        for req in &self.sends {
+            mpi.cancel(req);
+        }
+    }
+}
+
+/// Fold one landed round payload into the accumulator.
+fn apply(acc: &mut Vec<u8>, action: &RecvAction, data: &[u8]) {
+    match action {
+        RecvAction::Discard => {}
+        RecvAction::ReplaceAcc => *acc = data.to_vec(),
+        RecvAction::CombineAcc { dtype, op } => combine(*dtype, *op, acc, data),
+        RecvAction::CombineAt { offset, dtype, op } => {
+            let end = offset + data.len();
+            combine(*dtype, *op, &mut acc[*offset..end], data);
+        }
+        RecvAction::StoreAt(off) => acc[*off..off + data.len()].copy_from_slice(data),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,6 +929,47 @@ mod tests {
         // Non-power-of-two stays on the reduce+bcast composite.
         let np2 = allreduce_rounds_sized(6, 0, Dtype::F64, ReduceOp::Sum, 64 * 1024 + 16);
         assert!(np2.len() > 3);
+    }
+
+    #[test]
+    fn coll_kind_check_rejects_malformed_arguments() {
+        use CollKind::*;
+        let bad = [
+            Alltoall {
+                input: vec![0; 7],
+                block: 2,
+            },
+            Scatter {
+                root: 0,
+                input: vec![0; 3],
+                block: 2,
+            },
+            Scatter {
+                root: 4,
+                input: Vec::new(),
+                block: 2,
+            },
+            Bcast {
+                root: 4,
+                payload: Vec::new(),
+            },
+        ];
+        for kind in bad {
+            let caught = std::panic::catch_unwind(|| kind.check(4, 0));
+            assert!(caught.is_err(), "{kind:?} passed the check");
+        }
+        // Only the root's scatter input is checked.
+        Scatter {
+            root: 1,
+            input: Vec::new(),
+            block: 2,
+        }
+        .check(4, 0);
+        Alltoall {
+            input: vec![0; 8],
+            block: 2,
+        }
+        .check(4, 0);
     }
 
     #[test]

@@ -41,7 +41,8 @@ impl HistogramReading {
     /// `[2^(i-1), 2^i - 1]`; bucket 0 is exactly the value 0), so the
     /// estimate is always within the true sample's bucket — the error is
     /// bounded by the bucket width, never by the tail length. An empty
-    /// histogram estimates 0.
+    /// histogram estimates 0. Bucket counts that do not add up to `count`
+    /// (a decoded snapshot is peer input) saturate instead of overflowing.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -50,7 +51,7 @@ impl HistogramReading {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut below = 0u64;
         for &(ub, n) in &self.buckets {
-            if n > 0 && rank <= below + n {
+            if n > 0 && rank <= below.saturating_add(n) {
                 let lb = bucket_lower_bound(ub);
                 if lb >= ub {
                     return ub; // single-value buckets (0 and 1) are exact
@@ -61,7 +62,7 @@ impl HistogramReading {
                 let frac = (((rank - below) as f64 - 0.5) / n as f64).clamp(0.0, 1.0);
                 return lb + (frac * (ub - lb) as f64).round() as u64;
             }
-            below += n;
+            below = below.saturating_add(n);
         }
         self.buckets.last().map_or(0, |&(ub, _)| ub)
     }
@@ -396,10 +397,17 @@ mod imp {
             self.0.high.fetch_max(v, Relaxed);
         }
 
+        /// Raise the level by `d`. Adds and subs from different threads may
+        /// land out of order (a lane's consumer can uncount a command
+        /// before its producer's `add` for it lands), leaving the value
+        /// transiently below zero: the arithmetic wraps like the atomic,
+        /// and only a real level may raise the high-water mark.
         #[inline]
         pub fn add(&self, d: u64) {
-            let now = self.0.value.fetch_add(d, Relaxed) + d;
-            self.0.high.fetch_max(now, Relaxed);
+            let now = self.0.value.fetch_add(d, Relaxed).wrapping_add(d);
+            if now <= i64::MAX as u64 {
+                self.0.high.fetch_max(now, Relaxed);
+            }
         }
 
         #[inline]
@@ -668,6 +676,21 @@ mod tests {
         assert_eq!(r.high_water, 8);
     }
 
+    /// A consumer's `sub` racing ahead of the producer's `add` (the lane
+    /// occupancy pattern) must neither panic nor poison the high-water.
+    #[test]
+    fn gauge_tolerates_sub_before_add() {
+        let reg = Registry::new();
+        let g = reg.gauge("occ");
+        g.sub(2);
+        g.add(1);
+        g.add(1);
+        g.add(3);
+        let r = reg.snapshot().gauge("occ");
+        assert_eq!(r.value, 3);
+        assert_eq!(r.high_water, 3);
+    }
+
     #[test]
     fn histogram_buckets_by_log2() {
         let reg = Registry::new();
@@ -800,6 +823,36 @@ mod tests {
         let r = reg.snapshot().histogram("e");
         assert_eq!(r.quantile(0.25), 0);
         assert_eq!(r.quantile(1.0), 1);
+    }
+
+    /// Bucket counts are peer input: ones summing past `u64::MAX` must
+    /// saturate, and every estimate must still land inside a real bucket.
+    #[test]
+    fn quantiles_of_hostile_snapshot_stay_in_a_bucket() {
+        let mut raw = b"OBS1".to_vec();
+        raw.extend_from_slice(&0u32.to_le_bytes()); // counters
+        raw.extend_from_slice(&0u32.to_le_bytes()); // gauges
+        raw.extend_from_slice(&1u32.to_le_bytes()); // histograms
+        raw.extend_from_slice(&1u16.to_le_bytes());
+        raw.push(b'h');
+        raw.extend_from_slice(&3u64.to_le_bytes()); // count
+        raw.extend_from_slice(&0u64.to_le_bytes()); // sum
+        raw.extend_from_slice(&2u32.to_le_bytes());
+        for (ub, n) in [(2u64, 2u64), (4, u64::MAX)] {
+            raw.extend_from_slice(&ub.to_le_bytes());
+            raw.extend_from_slice(&n.to_le_bytes());
+        }
+        let h = Snapshot::from_bytes(&raw)
+            .expect("well-formed")
+            .histogram("h");
+        for est in [h.p50(), h.p99(), h.quantile(0.0), h.quantile(1.0)] {
+            assert!(
+                h.buckets
+                    .iter()
+                    .any(|&(ub, _)| (super::bucket_lower_bound(ub)..=ub).contains(&est)),
+                "estimate {est} outside every bucket of {h:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,23 +8,27 @@
 //! would have caught these". Arming a fault and asserting the explorer
 //! finds it within a bounded budget keeps that claim machine-checked
 //! instead of folklore.
+//!
+//! Flags are per thread: `check::proto` runs a whole model world on the
+//! calling thread, so a test that arms a fault cannot leak it into
+//! explorations other tests run in parallel.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 
-/// Fault: wildcard-tag receives match the reserved internal tag space
-/// again (the pre-PR7 leak — an application `ANY_TAG` receive could steal
-/// a collective round's token, wedging the NBC schedule).
-pub static WILDCARD_RESERVED_LEAK: AtomicBool = AtomicBool::new(false);
-
-/// Arm/disarm the wildcard reserved-tag leak. Returns the previous state
-/// so tests can restore it.
-pub fn set_wildcard_reserved_leak(on: bool) -> bool {
-    // ORDERING: SeqCst — test-only toggle, never on a hot path.
-    WILDCARD_RESERVED_LEAK.swap(on, Ordering::SeqCst)
+thread_local! {
+    /// Fault: wildcard-tag receives match the reserved internal tag space
+    /// again (the pre-PR7 leak — an application `ANY_TAG` receive could
+    /// steal a collective round's token, wedging the NBC schedule).
+    static WILDCARD_RESERVED_LEAK: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Is the wildcard reserved-tag leak armed?
+/// Arm/disarm the wildcard reserved-tag leak on this thread. Returns the
+/// previous state so tests can restore it.
+pub fn set_wildcard_reserved_leak(on: bool) -> bool {
+    WILDCARD_RESERVED_LEAK.replace(on)
+}
+
+/// Is the wildcard reserved-tag leak armed on this thread?
 pub fn wildcard_reserved_leak() -> bool {
-    // ORDERING: SeqCst — test-only read, never on a hot path.
-    WILDCARD_RESERVED_LEAK.load(Ordering::SeqCst)
+    WILDCARD_RESERVED_LEAK.get()
 }

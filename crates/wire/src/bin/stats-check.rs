@@ -5,8 +5,9 @@
 //!
 //! Exits 0 iff the report parses, covers exactly `--ranks` ranks (0..n,
 //! once each), every `--positive` metric is `> 0`, and every `--zero`
-//! metric is absent or `0`, on every rank that exited cleanly. (`--zero`
-//! is how the shm smoke lane pins `wire.eager_alloc` to nothing.) In
+//! metric is present and `0`, on every rank that exited cleanly. (`--zero`
+//! is how the shm smoke lane pins `wire.eager_alloc` to nothing; an
+//! absent metric fails it, so a renamed counter cannot pass as zero.) In
 //! relay-tree worlds the metric checks fall back to the report's merged
 //! relay section; `--relay-depth` additionally requires the realized
 //! tree depth to reach the given minimum with full rank coverage, and

@@ -12,7 +12,7 @@
 //!   loudly instead of wedging the job.
 //! * `kill-allreduce`: the `kill` scenario lifted to the collective path.
 //!   Every rank but 1 enters an allreduce (driven round-by-round through
-//!   `wire::nbcrun` over the wire transport) whose schedule needs rank 1;
+//!   `mpisim::nbc::NbcRun` over the wire transport) whose schedule needs rank 1;
 //!   rank 1 bootstraps, lingers until its peers are mid-schedule, and
 //!   SIGKILLs itself without ever joining. Survivors must see `PeerLost`
 //!   surface on the collective itself (prints `peer lost detected in
@@ -136,7 +136,8 @@ fn kill_mode(comm: &mut wire::WireComm) {
 }
 
 fn kill_allreduce_mode(comm: &mut wire::WireComm) {
-    use wire::nbcrun::{Coll, Dtype, NbcRun, ReduceOp};
+    use mpisim::nbc::{CollKind, NbcRun};
+    use mpisim::types::{Dtype, ReduceOp};
     let r = comm.rank();
     assert!(comm.size() >= 2, "kill-allreduce needs at least 2 ranks");
     if r == 1 {
@@ -158,7 +159,7 @@ fn kill_allreduce_mode(comm: &mut wire::WireComm) {
     let mut run = NbcRun::start(
         comm,
         rtmpi::TAG_COLL_BASE,
-        Coll::Allreduce {
+        CollKind::Allreduce {
             dtype: Dtype::F64,
             op: ReduceOp::Sum,
             data: lanes,

@@ -24,9 +24,8 @@
 //!   (unexpected-message queue, MPI FIFO matching via [`rtmpi::MatchQueue`],
 //!   eager/rendezvous protocol, peer-death detection), generic over the
 //!   fabric.
-//! * [`nbcrun`] — one nonblocking collective as a round schedule driven
-//!   over any [`rtmpi::Transport`] (shared by the live engine, the victim
-//!   binaries, and the protocol model checker).
+//! * [`nbcrun`] — re-exports of the live collective executor
+//!   (`mpisim::nbc::NbcRun`) under its historical path.
 //! * [`shm`] — the shared-memory data plane (`WIRE_SHM=1`): per-pair
 //!   memfd segments passed over the UDS handshake, SPSC rings running the
 //!   model-checked `shmring` protocol, zero syscalls and zero per-message

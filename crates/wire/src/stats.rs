@@ -677,7 +677,8 @@ pub struct ReportChecks {
     /// Metrics that must be `> 0` on every clean rank (or, when ranks
     /// reported only through the relay tree, in the relay merge).
     pub positive: Vec<String>,
-    /// Metrics that must be absent or `0` on every clean rank.
+    /// Metrics that must be present and `0` on every clean rank (or in
+    /// the relay merge, as for `positive`).
     pub zero: Vec<String>,
     /// Require a `relay` section whose realized tree depth is at least
     /// this, and (when every rank exited cleanly) whose coverage equals
@@ -691,11 +692,13 @@ pub struct ReportChecks {
 
 /// Validate a rendered report: parses, has exactly `checks.ranks` rows
 /// covering ranks `0..ranks`, every metric named in `positive` is `> 0`,
-/// and every metric named in `zero` is absent or `0`, on every rank that
-/// exited cleanly (dead ranks are exempt — their last snapshot
+/// and every metric named in `zero` is present and `0`, on every rank
+/// that exited cleanly (dead ranks are exempt — their last snapshot
 /// legitimately predates the work). `zero` is how the shm smoke lane
-/// pins `wire.eager_alloc` to nothing: the counter existing with any
-/// value would mean an eager send staged a heap copy. In relay-tree
+/// pins `wire.eager_alloc` to nothing: any value would mean an eager send
+/// staged a heap copy, and an absent counter would mean the gate checks
+/// a name the engine no longer records (a rename must fail it, not
+/// silently pass). In relay-tree
 /// worlds ranks may never dial the launcher directly; when a clean
 /// rank's metrics are empty and the report carries a `relay` section,
 /// the positive/zero checks fall back to the relay merge. Returns the
@@ -753,9 +756,12 @@ pub fn validate_report_checks(text: &str, checks: &ReportChecks) -> Result<usize
             }
         }
         for name in &checks.zero {
-            let v = target.get(name).and_then(Json::as_num).unwrap_or(0.0);
-            if v != 0.0 {
-                return Err(format!("rank {rank}: metric {name:?} not zero ({v})"));
+            match target.get(name).and_then(Json::as_num) {
+                None => return Err(format!("rank {rank}: metric {name:?} absent")),
+                Some(v) if v != 0.0 => {
+                    return Err(format!("rank {rank}: metric {name:?} not zero ({v})"));
+                }
+                Some(_) => {}
             }
         }
     }
@@ -982,9 +988,14 @@ mod tests {
         // Wrong rank count and a zero metric both fail.
         assert!(validate_report(&text, 4, &[], &[]).is_err());
         assert!(validate_report(&text, 3, &["wire.peer_lost".into()], &[]).is_err());
-        // --zero: an absent metric passes, a live one fails.
-        validate_report(&text, 3, &[], &["wire.peer_lost".into()]).expect("absent is zero");
+        // --zero: a live metric fails, and so does an absent one — a
+        // renamed counter must not pass as zero.
         assert!(validate_report(&text, 3, &[], &["wire.rndv_handshake_async".into()]).is_err());
+        let absent = validate_report(&text, 3, &[], &["wire.peer_lost".into()]);
+        assert!(
+            absent.is_err_and(|e| e.contains("absent")),
+            "absent metric passed --zero"
+        );
     }
 
     #[test]
@@ -994,7 +1005,7 @@ mod tests {
                 rank: 0,
                 outcome: "ok".into(),
                 dead: false,
-                stats: stats_with(&[("wire.frames_tx", 5)]),
+                stats: stats_with(&[("wire.frames_tx", 5), ("wire.peer_lost", 0)]),
                 blackbox: None,
             },
             RankRow {
@@ -1117,6 +1128,17 @@ mod tests {
         let text = render_report(&rows);
         assert!(text.contains("\"relay\": null"));
         assert!(validate_report_checks(&text, &checks).is_err());
+        // --zero reads the relay merge too: a zero counter passes there,
+        // an absent one fails.
+        let agg = relay_agg_with(&[(0, 4, 3, &[("wire.eager_alloc", 0)])]);
+        let text = render_report_with(&rows, Some(&agg));
+        let zero = |name: &str| ReportChecks {
+            ranks: 4,
+            zero: vec![name.into()],
+            ..ReportChecks::default()
+        };
+        validate_report_checks(&text, &zero("wire.eager_alloc")).expect("zero in the merge");
+        assert!(validate_report_checks(&text, &zero("wire.shm_fallback")).is_err());
     }
 
     fn bb_dump(n: u64) -> obs::BlackBoxDump {
