@@ -1,7 +1,7 @@
 //! Live counterparts of the approach matrix: the same baseline / iprobe /
-//! offload comparison, but over a real [`rtmpi::Transport`] (in-process
-//! mailboxes or the `crates/wire` socket backend) instead of the
-//! discrete-event simulator.
+//! offload comparison, but over a real [`rtmpi::Transport`] (the
+//! `crates/wire` socket backend, in-process loopback or one process per
+//! rank) instead of the discrete-event simulator.
 //!
 //! The application-visible surface is deliberately the one the paper's
 //! unmodified apps use — isend / irecv / wait / barrier — and the three
@@ -217,7 +217,8 @@ impl<T: Transport> LiveComm<T> {
                 // The baseline's defining moment: progress happens *here*,
                 // because the application finally blocked.
                 t.set_in_wait(true);
-                let deadline = t.op_timeout().map(|d| Instant::now() + d);
+                let limit = t.op_timeout();
+                let deadline = Instant::now() + limit;
                 let out = loop {
                     if let Some(out) = t.try_take(&r) {
                         break out;
@@ -226,16 +227,11 @@ impl<T: Transport> LiveComm<T> {
                     if let Some(out) = t.try_take(&r) {
                         break out;
                     }
-                    if let Some(dl) = deadline {
-                        if Instant::now() >= dl {
-                            t.cancel(&r);
-                            break Err(TransportError::Timeout {
-                                waited_ms: t
-                                    .op_timeout()
-                                    .map(|d| d.as_millis() as u64)
-                                    .unwrap_or(0),
-                            });
-                        }
+                    if Instant::now() >= deadline {
+                        t.cancel(&r);
+                        break Err(TransportError::Timeout {
+                            waited_ms: limit.as_millis() as u64,
+                        });
                     }
                     // Completion needs the peer to act; give it the core
                     // instead of burning our whole quantum re-polling an
@@ -322,22 +318,18 @@ impl<T: Transport> LiveComm<T> {
                     .take()
                     .expect("collective waited at most once")?;
                 t.set_in_wait(true);
-                let deadline = t.op_timeout().map(|d| Instant::now() + d);
+                let limit = t.op_timeout();
+                let deadline = Instant::now() + limit;
                 let res = loop {
                     match run.poll(t) {
                         Ok(true) => break Ok(()),
                         Ok(false) => {}
                         Err(e) => break Err(e),
                     }
-                    if let Some(dl) = deadline {
-                        if Instant::now() >= dl {
-                            break Err(TransportError::Timeout {
-                                waited_ms: t
-                                    .op_timeout()
-                                    .map(|d| d.as_millis() as u64)
-                                    .unwrap_or(0),
-                            });
-                        }
+                    if Instant::now() >= deadline {
+                        break Err(TransportError::Timeout {
+                            waited_ms: limit.as_millis() as u64,
+                        });
                     }
                     if !t.progress() {
                         std::thread::yield_now();
@@ -442,13 +434,12 @@ impl<T: Transport> LiveComm<T> {
     }
 
     /// The per-strategy metrics registries: (command-path registry if the
-    /// strategy has an offload thread, transport registry if the transport
-    /// keeps one).
-    pub fn obs(&self) -> (Option<obs::Registry>, Option<obs::Registry>) {
+    /// strategy has an offload thread, transport registry).
+    pub fn obs(&self) -> (Option<obs::Registry>, obs::Registry) {
         match &self.inner {
             Inner::Direct { t, .. } => (None, t.obs_registry()),
             Inner::Offload { handle, .. } => {
-                (Some(handle.obs().clone()), handle.transport_obs().cloned())
+                (Some(handle.obs().clone()), handle.transport_obs().clone())
             }
         }
     }
@@ -523,8 +514,8 @@ mod tests {
     }
 
     #[test]
-    fn approaches_over_rtmpi_world() {
-        all_approaches_sequentially(|| rtmpi::world(4), 1024);
+    fn approaches_over_wire_loopback_four_ranks() {
+        all_approaches_sequentially(|| wire::loopback(4), 1024);
     }
 
     /// The full collective surface under one strategy; every result is
@@ -615,11 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn collectives_over_rtmpi_world() {
-        collectives_under_all_approaches(|| rtmpi::world(4));
-    }
-
-    #[test]
     fn collectives_over_wire_loopback() {
         collectives_under_all_approaches(|| wire::loopback(4));
     }
@@ -628,7 +614,7 @@ mod tests {
     /// allreduce fallback and the general binomial trees.
     #[test]
     fn collectives_over_three_ranks() {
-        collectives_under_all_approaches(|| rtmpi::world(3));
+        collectives_under_all_approaches(|| wire::loopback(3));
     }
 
     /// Nonblocking collective with compute between post and wait — the
@@ -749,12 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_recv_during_barrier_rtmpi_2_and_4_ranks() {
-        wildcard_recv_survives_barrier(rtmpi::world(2));
-        wildcard_recv_survives_barrier(rtmpi::world(4));
-    }
-
-    #[test]
     fn wildcard_recv_during_barrier_wire_loopback() {
         wildcard_recv_survives_barrier(wire::loopback(2));
         wildcard_recv_survives_barrier(wire::loopback(4));
@@ -799,8 +779,7 @@ mod tests {
                         }
                         comm.wait(rx).expect("recv ok");
                         comm.wait(s).expect("send ok");
-                        let (_, transport_obs) = comm.obs();
-                        let snap = transport_obs.expect("wire keeps a registry").snapshot();
+                        let snap = comm.obs().1.snapshot();
                         (
                             snap.counter("wire.rndv_handshake_at_wait"),
                             snap.counter("wire.rndv_handshake_async"),

@@ -1387,6 +1387,34 @@ mod tests {
         );
     }
 
+    /// Rank 0 only posts `irecv(None, None)`; rank 1 only sends one eager
+    /// message. Killing rank 1 before that frame is delivered leaves the
+    /// wildcard with no live peer to match it: it must fail with
+    /// `PeerLost`, not hang.
+    #[test]
+    fn wildcard_recv_fails_once_every_peer_died() {
+        let mut spec = WorldSpec::ring(2, 4096, 16);
+        spec.scripts[0].sends.clear();
+        spec.scripts[0].recvs[0].src = None;
+        spec.scripts[0].recvs[0].tag = None;
+        spec.scripts[1].recvs.clear();
+        let cfg = Config {
+            strategy: Strategy::Dfs {
+                max_schedules: 10_000,
+            },
+            max_kills: 1,
+            kill_candidates: vec![1],
+            ..Config::default()
+        };
+        let stats = explore(&spec, &cfg).unwrap_or_else(|f| panic!("{f}"));
+        assert!(stats.complete, "2-rank kill world not exhausted");
+        assert!(
+            stats.peer_lost > 0,
+            "no schedule killed rank 1 before delivery ({} schedules)",
+            stats.schedules
+        );
+    }
+
     #[test]
     fn replay_is_deterministic() {
         let spec = WorldSpec::collective(3, 64, CollOp::Allreduce { lanes: 24 });

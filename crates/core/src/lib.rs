@@ -14,9 +14,9 @@
 //!   (with a Vyukov MPMC ring as overflow and as the comparison baseline),
 //!   the generation-tagged request pool with done flags, the shared
 //!   adaptive spin→yield→park wait policy ([`backoff`]), and a real
-//!   dedicated offload thread per rank over the in-process [`rtmpi`]
-//!   message layer. This is the artifact itself — stress-tested with
-//!   actual concurrent threads.
+//!   dedicated offload thread per rank over the wire backend's message
+//!   layer (in-process loopback worlds via [`offload_world`]). This is the
+//!   artifact itself — stress-tested with actual concurrent threads.
 //! * **The calibrated simulation model** ([`sim`]): the identical main
 //!   loop as a discrete-event task, charging per-operation costs from a
 //!   [`simnet::MachineProfile`], so the paper's cluster-scale experiments

@@ -2,11 +2,10 @@
 //!
 //! One dedicated offload thread per rank services the lock-free command
 //! queue and is the only thread that touches the message layer. The
-//! message layer is any [`rtmpi::Transport`]: the in-process mailboxes
-//! (`rtmpi::RtMpi`, push-style, nothing to poll) or the socket wire
-//! backend (`crates/wire`, a real pending protocol that advances only
-//! when the owner polls it — which is exactly what this thread does, and
-//! exactly what the paper's asynchronous-progress argument is about).
+//! message layer is an [`rtmpi::Transport`] — the wire backend
+//! (`crates/wire`), a real pending protocol that advances only when the
+//! owner polls it, which is exactly what this thread does, and exactly
+//! what the paper's asynchronous-progress argument is about.
 //! Application threads — any number, concurrently, i.e. full
 //! `MPI_THREAD_MULTIPLE` semantics — serialize their calls into
 //! [`Command`]s, allocate a request-pool slot for the reply, and either
@@ -176,7 +175,7 @@ pub struct OffloadHandle {
     chan: Arc<CmdChannel>,
     pool: Arc<RequestPool<Completion>>,
     registry: obs::Registry,
-    transport_obs: Option<obs::Registry>,
+    transport_obs: obs::Registry,
     rank: usize,
     size: usize,
 }
@@ -187,14 +186,16 @@ pub struct OffloadHandle {
 ///
 /// [`finalize`]: OffloadRank::finalize
 /// [`finalize_reclaim`]: OffloadRank::finalize_reclaim
-pub struct OffloadRank<T: Transport = rtmpi::RtMpi> {
+pub struct OffloadRank<T: Transport = wire::WireComm> {
     handle: OffloadHandle,
     thread: Option<JoinHandle<T>>,
 }
 
 /// Build an `n`-rank live world: spawns one offload thread per rank over a
-/// fresh `rtmpi` world. This is the `MPI_Init` interposition point of the
-/// paper's `LD_PRELOAD` library.
+/// fresh in-process wire loopback world ([`wire::loopback`]: socket pairs
+/// running the real eager/rendezvous protocol, configured from the
+/// `WIRE_*` environment). This is the `MPI_Init` interposition point of
+/// the paper's `LD_PRELOAD` library.
 pub fn offload_world(n: usize) -> Vec<OffloadRank> {
     offload_world_sized(n, 1024, 1024)
 }
@@ -214,7 +215,7 @@ pub fn offload_world_configured(
     pool_cap: usize,
     path: CommandPath,
 ) -> Vec<OffloadRank> {
-    rtmpi::world(n)
+    wire::loopback(n)
         .into_iter()
         .map(|mpi| offload_rank_configured(mpi, queue_cap, pool_cap, path))
         .collect()
@@ -478,11 +479,10 @@ impl OffloadHandle {
         &self.registry
     }
 
-    /// The transport's own metrics registry, when it keeps one (the wire
-    /// backend's protocol counters — bytes on wire, rendezvous handshake
-    /// attribution). `None` for the in-process substrate.
-    pub fn transport_obs(&self) -> Option<&obs::Registry> {
-        self.transport_obs.as_ref()
+    /// The transport's own metrics registry (the wire backend's protocol
+    /// counters — bytes on wire, rendezvous handshake attribution).
+    pub fn transport_obs(&self) -> &obs::Registry {
+        &self.transport_obs
     }
 }
 
@@ -494,9 +494,7 @@ impl OffloadHandle {
 struct InflightOp<R> {
     slot: Handle,
     req: R,
-    /// Set only when the transport has an op timeout configured (keeps
-    /// clock reads out of the in-process fast path entirely).
-    issued: Option<Instant>,
+    issued: Instant,
 }
 
 fn completion_of(out: Result<OpOutcome, TransportError>) -> Completion {
@@ -533,7 +531,6 @@ fn offload_main<T: Transport>(
     };
     let policy = WaitPolicy::default();
 
-    let needs_progress = mpi.needs_progress();
     let op_timeout = mpi.op_timeout();
     let mut inflight: Vec<InflightOp<T::Req>> = Vec::new();
     let mut nbcs: Vec<(Handle, NbcRun<T>)> = Vec::new();
@@ -542,9 +539,7 @@ fn offload_main<T: Transport>(
     let mut streak: u64 = 0;
     loop {
         let mut advanced = false;
-        // Clock reads only happen on transports with a configured timeout
-        // (i.e. never for the in-process substrate, incl. under Miri).
-        let issued_at = op_timeout.map(|_| Instant::now());
+        let issued_at = Instant::now();
         // 1. Drain the command channel (round-robin, budgeted per lane).
         let drained = chan.drain(DRAIN_BUDGET, |cmd| match cmd {
             Command::Isend {
@@ -554,8 +549,9 @@ fn offload_main<T: Transport>(
                 slot,
             } => {
                 let req = mpi.isend(dst, tag, data);
-                // In-process sends complete at hand-off; wire sends stay
-                // pending until flushed and (rendezvous) acknowledged.
+                // Self-sends and sends to a dead peer resolve at hand-off;
+                // others stay pending until flushed and (rendezvous)
+                // acknowledged.
                 match mpi.try_take(&req) {
                     Some(out) => pool.complete(slot, completion_of(out)),
                     None => inflight.push(InflightOp {
@@ -594,11 +590,9 @@ fn offload_main<T: Transport>(
         // backend this *is* the paper's asynchronous progress: rendezvous
         // handshakes complete here, during application compute, instead of
         // inside MPI_Wait.
-        if needs_progress {
-            progress_polls.inc();
-            if mpi.progress() {
-                advanced = true;
-            }
+        progress_polls.inc();
+        if mpi.progress() {
+            advanced = true;
         }
         // 3. Sweep in-flight operations (the MPI_Testany analogue).
         if !inflight.is_empty() {
@@ -612,20 +606,18 @@ fn offload_main<T: Transport>(
                     pool.complete(op.slot, completion_of(out));
                     true
                 }
-                None => match (op_timeout, op.issued) {
-                    (Some(limit), Some(t0)) if t0.elapsed() >= limit => {
-                        mpi.cancel(&op.req);
-                        op_timeouts.inc();
-                        pool.complete(
-                            op.slot,
-                            Completion::Failed(TransportError::Timeout {
-                                waited_ms: limit.as_millis() as u64,
-                            }),
-                        );
-                        true
-                    }
-                    _ => false,
-                },
+                None if op.issued.elapsed() >= op_timeout => {
+                    mpi.cancel(&op.req);
+                    op_timeouts.inc();
+                    pool.complete(
+                        op.slot,
+                        Completion::Failed(TransportError::Timeout {
+                            waited_ms: op_timeout.as_millis() as u64,
+                        }),
+                    );
+                    true
+                }
+                None => false,
             };
             if completed {
                 inflight.swap_remove(i);
@@ -676,8 +668,8 @@ fn offload_main<T: Transport>(
             chan.wait_nonempty(&policy, &idle_backoff);
         } else {
             // Work is in flight but did not advance: completion depends on
-            // peers (push-style mailboxes) or on polling the sockets, so
-            // this thread must keep polling — bounded yield, never park.
+            // polling the transport, so this thread must keep polling —
+            // bounded yield, never park.
             streak += 1;
             no_advance_streak.set(streak);
             idle_backoff.yields.inc();

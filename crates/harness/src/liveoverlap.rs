@@ -1,6 +1,6 @@
 //! §4.1 compute–communication overlap over a *real* transport (the wire
-//! socket backend, or in-process mailboxes), comparing the live
-//! strategies of [`approaches::live`].
+//! socket backend, one process per rank or an in-process loopback world),
+//! comparing the live strategies of [`approaches::live`].
 //!
 //! Same methodology as the DES panel in [`crate::micro`]: each rank posts
 //! irecv + isend to its partner, measures post and wait times without
@@ -76,10 +76,7 @@ pub fn live_overlap<T: Transport>(
 ) -> (LiveOverlapRow, T) {
     let mut comm = LiveComm::start(approach, transport);
     let payload: Arc<[u8]> = Arc::from(vec![0x5au8; size]);
-    let before = {
-        let (_, tobs) = comm.obs();
-        tobs.map(|r| r.snapshot()).unwrap_or_default()
-    };
+    let before = comm.obs().1.snapshot();
 
     // Warmup: protocol caches, offload thread spin-up.
     exchange(&mut comm, peer, &payload);
@@ -109,10 +106,7 @@ pub fn live_overlap<T: Transport>(
         comm.barrier().expect("resync barrier");
     }
 
-    let during = {
-        let (_, tobs) = comm.obs();
-        tobs.map(|r| r.snapshot()).unwrap_or_default().diff(&before)
-    };
+    let during = comm.obs().1.snapshot().diff(&before);
     let n = iters as u64;
     let (comm_ns, wait1, wait2) = (comm_acc / n, wait1_acc / n, wait2_acc / n);
     let row = LiveOverlapRow {

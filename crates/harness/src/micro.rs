@@ -536,7 +536,7 @@ pub fn live_isend_issue_rate(
     let ranks = offload::offload_world_configured(2, 256, 256, path);
     let h0 = ranks[0].handle();
     let h1 = ranks[1].handle();
-    let start = Arc::new(Barrier::new(threads + 1));
+    let start = Arc::new(Barrier::new(threads));
     let receivers: Vec<_> = (0..threads as u32)
         .map(|t| {
             let h = h1.clone();
@@ -554,6 +554,10 @@ pub fn live_isend_issue_rate(
             std::thread::spawn(move || {
                 let payload: std::sync::Arc<[u8]> = std::sync::Arc::from(vec![0u8; 64]);
                 start.wait();
+                // Each sender stamps its own span: a clock read on the
+                // spawning thread after the barrier can land after the
+                // senders have already finished.
+                let t0 = std::time::Instant::now();
                 let mut sent = 0;
                 while sent < msgs {
                     let burst = WINDOW.min(msgs - sent);
@@ -563,15 +567,17 @@ pub fn live_isend_issue_rate(
                     }
                     sent += burst;
                 }
+                (t0, std::time::Instant::now())
             })
         })
         .collect();
-    start.wait();
-    let t0 = std::time::Instant::now();
-    for s in senders {
-        s.join().expect("sender thread");
-    }
-    let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
+    let spans: Vec<_> = senders
+        .into_iter()
+        .map(|s| s.join().expect("sender thread"))
+        .collect();
+    let first = spans.iter().map(|s| s.0).min().expect("threads >= 1");
+    let last = spans.iter().map(|s| s.1).max().expect("threads >= 1");
+    let elapsed = (last - first).as_secs_f64().max(1e-9);
     for r in receivers {
         r.join().expect("receiver thread");
     }

@@ -68,10 +68,7 @@ pub fn nbc_overlap_live<T: Transport>(
     mut verify: impl FnMut(&[u8]),
 ) -> (NbcOverlapRow, T) {
     let mut comm = LiveComm::start(approach, transport);
-    let before = {
-        let (_, tobs) = comm.obs();
-        tobs.map(|r| r.snapshot()).unwrap_or_default()
-    };
+    let before = comm.obs().1.snapshot();
 
     // Warmup: protocol caches, offload thread spin-up, one full schedule.
     let req = comm.icollective(kind());
@@ -100,10 +97,7 @@ pub fn nbc_overlap_live<T: Transport>(
         comm.barrier().expect("resync barrier");
     }
 
-    let during = {
-        let (_, tobs) = comm.obs();
-        tobs.map(|r| r.snapshot()).unwrap_or_default().diff(&before)
-    };
+    let during = comm.obs().1.snapshot().diff(&before);
     let n = iters as u64;
     let (comm_ns, wait1, wait2) = (comm_acc / n, wait1_acc / n, wait2_acc / n);
     let row = NbcOverlapRow {

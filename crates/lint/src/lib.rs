@@ -39,6 +39,10 @@
 //!   test code included. Executing a round schedule means matching on
 //!   them, so this keeps `mpisim::nbc::NbcRun` — the executor
 //!   `check::proto` explores — the only live one, next to the simulator's.
+//! * `one-transport` — `impl … Transport for` appears only under
+//!   `crates/wire/src`, test code included. `wire::WireComm` is the one
+//!   live message layer; in-process worlds are wire loopback worlds, so
+//!   every live test runs the protocol the launcher ships.
 //!
 //! ## Allowlist
 //!
@@ -92,6 +96,7 @@ pub const RULES: &[&str] = &[
     "peer-input-hardening",
     "unsafe-confinement",
     "one-nbc-executor",
+    "one-transport",
 ];
 
 /// How many lines above a flagged use a justifying comment may sit.
@@ -154,6 +159,16 @@ fn has_reserved_tag_literal(line: &str) -> bool {
     false
 }
 
+/// Is `line` an `impl` of the `Transport` trait (bare or path-qualified,
+/// generic or not)? `impl MyTransport for` names another trait.
+fn implements_transport(line: &str) -> bool {
+    if !(line.starts_with("impl ") || line.starts_with("impl<")) {
+        return false;
+    }
+    line.match_indices("Transport for ")
+        .any(|(pos, _)| pos == 0 || !is_ident(line.as_bytes()[pos - 1]))
+}
+
 /// Which rule scopes a workspace-relative path falls into.
 struct Scope {
     /// `crates/core` — the model-checked crate, facade-only concurrency.
@@ -166,6 +181,8 @@ struct Scope {
     wire_safe_zone: bool,
     /// `crates/mpisim/src` — owns the round schedules and their executors.
     owns_nbc_executor: bool,
+    /// `crates/wire/src` — owns the one `Transport` implementation.
+    owns_transport: bool,
 }
 
 fn scope_of(path: &str) -> Scope {
@@ -182,6 +199,7 @@ fn scope_of(path: &str) -> Scope {
         peer_input: peer_input_files.contains(&path),
         wire_safe_zone: path.starts_with("crates/wire/src") && path != "crates/wire/src/shm.rs",
         owns_nbc_executor: path.starts_with("crates/mpisim/src"),
+        owns_transport: path.starts_with("crates/wire/src"),
     }
 }
 
@@ -306,6 +324,15 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
                     );
                 }
             }
+        }
+        if !scope.owns_transport && implements_transport(line) {
+            push(
+                "one-transport",
+                "`Transport` implemented outside crates/wire/src: wire::WireComm is \
+                 the one live message layer (use wire::loopback for in-process \
+                 worlds); do not grow another"
+                    .into(),
+            );
         }
         if !in_test && scope.peer_input {
             for needle in [".unwrap()", ".expect(", "Instant::now"] {
@@ -656,6 +683,39 @@ mod tests {
         assert!(scan_source("crates/mpisim/src/nbc.rs", src).is_empty());
         let user = "let run = mpisim::nbc::NbcRun::start(t, tag, kind);\n";
         assert!(scan_source("crates/approaches/src/live.rs", user).is_empty());
+    }
+
+    #[test]
+    fn transport_impls_are_confined_to_wire() {
+        for src in [
+            "impl Transport for Mailbox {\n",
+            "impl rtmpi::Transport for Mailbox {\n",
+            "impl<F: Fabric> rtmpi::transport::Transport for Engine<F> {\n",
+        ] {
+            assert_eq!(
+                rules_fired("crates/rtmpi/src/lib.rs", src),
+                ["one-transport"],
+                "{src}"
+            );
+            // Test code elsewhere is no exemption: a mock is a transport.
+            assert_eq!(
+                rules_fired("crates/core/tests/live.rs", src),
+                ["one-transport"],
+                "{src}"
+            );
+            assert!(scan_source("crates/wire/src/engine.rs", src).is_empty());
+        }
+        // Other traits, and using the trait, are fine anywhere.
+        for src in [
+            "impl MyTransport for Mailbox {\n",
+            "fn drive<T: Transport>(t: &mut T) {}\n",
+            "impl<T: Transport> OffloadRank<T> {\n",
+        ] {
+            assert!(
+                scan_source("crates/core/src/live.rs", src).is_empty(),
+                "{src}"
+            );
+        }
     }
 
     #[test]

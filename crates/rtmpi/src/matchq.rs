@@ -4,15 +4,13 @@
 //! names an exact source or the wildcard (`None`) and an exact tag or the
 //! wildcard, arrivals match posted receives in post order, posted receives
 //! match buffered arrivals in arrival order, and the per-`(source, tag)`
-//! stream is FIFO. The in-process mailboxes ([`crate::RtMpi`]) and the
-//! socket wire backend's progress engine (`crates/wire`) both delegate to
-//! this queue, so the two live substrates cannot drift apart on matching
-//! semantics.
+//! stream is FIFO. The wire backend's progress engine (`crates/wire`)
+//! delegates to this queue.
 //!
 //! The queue is generic over the *receive token* `R` (what a posted
-//! receive resolves to — an in-process request handle, or a wire request
-//! id) and the *buffered message* `M` (an eager payload, or a rendezvous
-//! RTS descriptor awaiting its CTS).
+//! receive resolves to — the wire engine's request id) and the *buffered
+//! message* `M` (an eager payload, or a rendezvous RTS descriptor
+//! awaiting its CTS).
 
 use std::collections::VecDeque;
 
@@ -126,15 +124,15 @@ impl<R, M> MatchQueue<R, M> {
             .map(|u| (u.src, u.tag, &u.msg))
     }
 
-    /// Remove and return every posted receive that names `src` as its
-    /// exact source — used when a peer dies so its receivers can be failed
-    /// instead of hanging. Wildcard-source receives are left posted (they
-    /// may still match a live peer).
-    pub fn take_posted_from(&mut self, src: usize) -> Vec<PostedRecv<R>> {
+    /// Remove and return every posted receive whose source filter is
+    /// exactly `src` — used when a peer dies so its receivers can be failed
+    /// instead of hanging (`Some(peer)`), and once every peer has died, for
+    /// the wildcard-source receives nothing can match any more (`None`).
+    pub fn take_posted_from(&mut self, src: Option<usize>) -> Vec<PostedRecv<R>> {
         let mut taken = Vec::new();
         let mut keep = VecDeque::with_capacity(self.posted.len());
         for p in self.posted.drain(..) {
-            if p.src == Some(src) {
+            if p.src == src {
                 taken.push(p);
             } else {
                 keep.push_back(p);
@@ -258,8 +256,19 @@ mod tests {
         q.push_posted(None, None, 2);
         q.push_posted(Some(1), Some(4), 3);
         q.push_posted(Some(0), None, 4);
-        let dead: Vec<u32> = q.take_posted_from(1).into_iter().map(|p| p.token).collect();
+        let dead: Vec<u32> = q
+            .take_posted_from(Some(1))
+            .into_iter()
+            .map(|p| p.token)
+            .collect();
         assert_eq!(dead, vec![1, 3]);
         assert_eq!(q.posted_len(), 2);
+        let wild: Vec<u32> = q
+            .take_posted_from(None)
+            .into_iter()
+            .map(|p| p.token)
+            .collect();
+        assert_eq!(wild, vec![2]);
+        assert_eq!(q.posted_len(), 1);
     }
 }

@@ -1,17 +1,12 @@
 //! The live-transport abstraction: what the offload thread (and the live
 //! approach layer) needs from a message-passing substrate.
 //!
-//! Two implementations exist:
-//!
-//! * [`crate::RtMpi`] — in-process mailboxes, push-style delivery: a send
-//!   completes the matching receive directly, so nothing ever needs
-//!   polling ([`Transport::needs_progress`] is `false`).
-//! * `wire::WireComm` (crates/wire) — ranks as OS processes over real
-//!   sockets, with an eager/rendezvous protocol whose pending state
-//!   machines advance **only** when [`Transport::progress`] is called.
-//!   This is the substrate on which the paper's asynchronous-progress
-//!   problem actually exists: whoever owns the transport and polls it is
-//!   the progress actor.
+//! The implementation is `wire::WireComm` (crates/wire): ranks over real
+//! sockets (or shm rings, or in-process loopback socket pairs), with an
+//! eager/rendezvous protocol whose pending state machines advance
+//! **only** when [`Transport::progress`] is called. This is the substrate
+//! on which the paper's asynchronous-progress problem actually exists:
+//! whoever owns the transport and polls it is the progress actor.
 //!
 //! All methods take `&mut self`: a transport is owned by exactly one
 //! thread at a time (the offload thread, or the application thread under
@@ -75,11 +70,7 @@ pub trait Transport: Send + 'static {
 
     /// Drive pending protocol state (flush outboxes, read sockets, run
     /// rendezvous handshakes). Returns `true` when anything advanced.
-    /// Push-style transports have nothing to drive and return `false`.
     fn progress(&mut self) -> bool;
-
-    /// Nonblocking completion check. Does *not* drive progress.
-    fn is_done(&mut self, req: &Self::Req) -> bool;
 
     /// Take the outcome if complete; `None` while pending. Each request
     /// yields its outcome exactly once.
@@ -87,35 +78,25 @@ pub trait Transport: Send + 'static {
 
     /// Drop all transport-side state for an abandoned request (e.g. one
     /// that timed out at the offload layer). Completion may never come.
-    fn cancel(&mut self, _req: &Self::Req) {}
+    fn cancel(&mut self, req: &Self::Req);
 
-    /// Must the owning thread call [`Transport::progress`] for pending
-    /// operations to complete? `false` for push-style substrates whose
-    /// peers complete our requests directly.
-    fn needs_progress(&self) -> bool;
-
-    /// Per-operation pending timeout, if the transport has one configured.
-    /// The polling owner converts operations pending longer than this into
-    /// [`TransportError::Timeout`] completions.
-    fn op_timeout(&self) -> Option<Duration> {
-        None
-    }
+    /// Per-operation pending timeout. The polling owner converts
+    /// operations pending longer than this into [`TransportError::Timeout`]
+    /// completions.
+    fn op_timeout(&self) -> Duration;
 
     /// Hint from the owner that it is (or no longer is) inside an
     /// application-initiated MPI call (a blocking wait, or a post that may
     /// consume buffered protocol messages) — progress made now is
-    /// synchronous, on the application's clock. Transports that attribute
-    /// protocol completions to synchronous vs asynchronous progress (the
-    /// wire backend's rendezvous counters) read this; others ignore it.
-    fn set_in_wait(&mut self, _in_wait: bool) {}
+    /// synchronous, on the application's clock. The wire backend's
+    /// rendezvous counters attribute handshakes by it.
+    fn set_in_wait(&mut self, in_wait: bool);
 
     /// Is a matching message buffered (unexpected) right now?
     fn iprobe(&mut self, src: Option<usize>, tag: Option<Tag>) -> Option<Status>;
 
-    /// The transport's metrics registry, when it keeps one (the wire
-    /// backend's protocol counters). Cloneable: snapshot it from any
-    /// thread while the transport itself is owned elsewhere.
-    fn obs_registry(&self) -> Option<obs::Registry> {
-        None
-    }
+    /// The transport's metrics registry (the wire backend's protocol
+    /// counters). Cloneable: snapshot it from any thread while the
+    /// transport itself is owned elsewhere.
+    fn obs_registry(&self) -> obs::Registry;
 }

@@ -52,7 +52,7 @@ fn main() {
 /// Drive progress until the request resolves or the transport's own
 /// timeout passes.
 fn wait_op(comm: &mut wire::WireComm, req: &wire::WireReq) -> Result<OpOutcome, TransportError> {
-    let limit = comm.op_timeout().expect("wire has a timeout");
+    let limit = comm.op_timeout();
     let deadline = Instant::now() + limit;
     loop {
         comm.progress();
@@ -165,7 +165,7 @@ fn kill_allreduce_mode(comm: &mut wire::WireComm) {
             data: lanes,
         },
     );
-    let limit = comm.op_timeout().expect("wire has a timeout");
+    let limit = comm.op_timeout();
     let deadline = Instant::now() + limit;
     loop {
         comm.progress();

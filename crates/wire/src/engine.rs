@@ -769,9 +769,18 @@ impl<F: FrameFabric> WireComm<F> {
         for id in stuck_data {
             self.finish(id, lost());
         }
-        // Posted receives naming the dead peer exactly (wildcards stay).
-        for posted in self.mailbox.take_posted_from(p) {
+        // Posted receives naming the dead peer exactly. Wildcard-source
+        // ones stay while another peer lives to match them; once every
+        // peer is gone they never can, so they fail too (ULFM's
+        // MPI_ERR_PROC_FAILED_PENDING).
+        for posted in self.mailbox.take_posted_from(Some(p)) {
             self.finish(posted.token, lost());
+        }
+        if self.all_peers_reaped() {
+            for posted in self.mailbox.take_posted_from(None) {
+                self.c_peer_lost.inc();
+                self.finish(posted.token, lost());
+            }
         }
         // Buffered RTS descriptors whose DATA will never come; delivered
         // eager payloads stay consumable.
@@ -779,6 +788,12 @@ impl<F: FrameFabric> WireComm<F> {
             .retain_unexpected(|u| u.src != p || matches!(u.msg, Arrival::Eager(_)));
         // Peer loss is a dump trigger: persist the timeline that led here.
         self.flush_blackbox();
+    }
+
+    /// Has every other rank died? Then nothing can match a wildcard-source
+    /// receive any more.
+    fn all_peers_reaped(&self) -> bool {
+        (0..self.size).all(|q| q == self.rank || self.reaped[q])
     }
 
     /// This transport's protocol counters.
@@ -950,10 +965,6 @@ impl<F: FrameFabric> Transport for WireComm<F> {
         advanced
     }
 
-    fn is_done(&mut self, req: &WireReq) -> bool {
-        matches!(self.pending.get(&req.0), Some(Pending::Done(_)))
-    }
-
     fn try_take(&mut self, req: &WireReq) -> Option<Result<OpOutcome, TransportError>> {
         match self.pending.get(&req.0) {
             Some(Pending::Done(_)) => match self.pending.remove(&req.0) {
@@ -970,12 +981,8 @@ impl<F: FrameFabric> Transport for WireComm<F> {
         self.pending.remove(&req.0);
     }
 
-    fn needs_progress(&self) -> bool {
-        true
-    }
-
-    fn op_timeout(&self) -> Option<Duration> {
-        Some(self.cfg.timeout)
+    fn op_timeout(&self) -> Duration {
+        self.cfg.timeout
     }
 
     fn set_in_wait(&mut self, in_wait: bool) {
@@ -993,8 +1000,8 @@ impl<F: FrameFabric> Transport for WireComm<F> {
         })
     }
 
-    fn obs_registry(&self) -> Option<obs::Registry> {
-        Some(self.registry.clone())
+    fn obs_registry(&self) -> obs::Registry {
+        self.registry.clone()
     }
 }
 
@@ -1349,6 +1356,36 @@ mod tests {
             a.try_take(&r2),
             Some(Err(TransportError::PeerLost { peer: 1 }))
         );
+    }
+
+    /// A wildcard-source receive outlives one dead peer (another could
+    /// still match it) and fails once the last peer is gone, counted in
+    /// `wire.peer_lost` next to the two deaths.
+    #[test]
+    fn wildcard_recv_fails_once_every_peer_died() {
+        let mut world = loopback_configured(3, WireConfig::default()).into_iter();
+        let (mut a, b, c) = (
+            world.next().expect("rank 0"),
+            world.next().expect("rank 1"),
+            world.next().expect("rank 2"),
+        );
+        let w = a.irecv(None, None);
+        drop(b);
+        for _ in 0..1_000 {
+            a.progress();
+        }
+        assert_eq!(a.try_take(&w), None, "rank 2 could still match it");
+        drop(c);
+        let mut out = None;
+        for _ in 0..10_000 {
+            a.progress();
+            out = a.try_take(&w);
+            if out.is_some() {
+                break;
+            }
+        }
+        assert_eq!(out, Some(Err(TransportError::PeerLost { peer: 2 })));
+        assert_eq!(a.obs().snapshot().counter("wire.peer_lost"), 3);
     }
 
     // ---- protocol-fault injection: forged frames must never panic ------

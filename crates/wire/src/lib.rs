@@ -1,13 +1,12 @@
 //! `wire` — ranks as OS processes over real sockets.
 //!
 //! This is the substrate on which the paper's asynchronous-progress problem
-//! actually exists. The in-process layer (`rtmpi`) delivers push-style: a
-//! send completes the matching receive directly, so nothing is ever pending
-//! and nobody has to poll. Here every rank is a separate process connected
-//! over Unix-domain sockets (TCP via `WIRE_TCP=1`), messages travel as
-//! length-prefixed frames, and large transfers use a real rendezvous
-//! handshake (RTS → CTS → DATA) whose state machine advances **only** when
-//! someone calls [`rtmpi::Transport::progress`] on the engine. The baseline
+//! actually exists, and the one implementation of [`rtmpi::Transport`].
+//! Every rank is a separate process connected over Unix-domain sockets
+//! (TCP via `WIRE_TCP=1`), messages travel as length-prefixed frames, and
+//! large transfers use a real rendezvous handshake (RTS → CTS → DATA)
+//! whose state machine advances **only** when someone calls
+//! [`rtmpi::Transport::progress`] on the engine. The baseline
 //! approach polls only inside `MPI_Wait` — so a rendezvous genuinely stalls
 //! until the application waits — while the offload thread's service loop
 //! polls continuously and demonstrably completes the handshake during

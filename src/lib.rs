@@ -23,7 +23,7 @@
 //!   validated kernels and cluster-scale performance drivers.
 //! * [`destime`], [`simnet`], [`team`], [`rtmpi`], [`numeric`],
 //!   [`harness`] — substrates: deterministic virtual-time executor,
-//!   network model, OpenMP-like teams, real-threads message layer,
+//!   network model, OpenMP-like teams, live transport trait and matching,
 //!   numerics, and benchmark infrastructure.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
@@ -34,8 +34,8 @@
 //! ```
 //! use std::sync::Arc;
 //!
-//! // Two ranks, each with a dedicated offload thread over the in-process
-//! // message layer.
+//! // Two ranks, each with a dedicated offload thread over an in-process
+//! // wire loopback world.
 //! let ranks = offload::offload_world(2);
 //! let h0 = ranks[0].handle();
 //! let h1 = ranks[1].handle();
